@@ -77,8 +77,7 @@ Environment knobs: ``$REPRO_EXEC_WORKERS`` (worker count),
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import TYPE_CHECKING, Sequence
@@ -487,6 +486,12 @@ def _execute_pool(
     unfinished sweep is re-run serially in-process, which is slower
     but cannot be killed by a bad worker.
     """
+    # Imported here, not at module level: the process-pool machinery
+    # (multiprocessing and friends, ~2.5 MB resident when imported on
+    # its own) is dead weight on the serial path (max_workers=1).
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     outcomes: dict[int, _Outcome] = {}
     attempts_started = {i: 0 for i in pending}
     timed_out_flags = {i: False for i in pending}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.hw.catalog import OS_BYPASS_PCI_EFFICIENCY
 from repro.hw.host import HostModel
 from repro.hw.nic import NicKind, NicModel
 from repro.units import kb, us
@@ -106,8 +107,6 @@ class ClusterConfig:
         OS-bypass NICs (Myrinet, Giganet) sustain higher PCI efficiency
         than descriptor-per-frame Ethernet DMA.
         """
-        from repro.hw.catalog import OS_BYPASS_PCI_EFFICIENCY
-
         bus = self.host.pci
         width = min(bus.width_bits, 64 if self.nic.pci_64bit_capable else 32)
         raw = width / 8 * bus.clock_mhz * 1e6

@@ -62,12 +62,23 @@ class _AdderLink(LinkModel):
 
     def __init__(self, inner: LinkModel, adder: float):
         super().__init__(inner.config)
-        self.inner = inner
-        self.adder = adder
+        self._inner = inner
+        self._adder = adder
+        self._latency0 = inner.latency0 + adder
+
+    @property
+    def inner(self) -> LinkModel:
+        """The wrapped transport (read-only)."""
+        return self._inner
+
+    @property
+    def adder(self) -> float:
+        """The library's fixed per-message latency (read-only)."""
+        return self._adder
 
     @property
     def latency0(self) -> float:
-        return self.inner.latency0 + self.adder
+        return self._latency0
 
     def rate(self, nbytes: int) -> float:
         return self.inner.rate(nbytes)

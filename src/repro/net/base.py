@@ -22,10 +22,19 @@ from repro.hw.cluster import ClusterConfig
 
 
 class LinkModel(abc.ABC):
-    """Analytic cost model of one connection between the two nodes."""
+    """Analytic cost model of one connection between the two nodes.
+
+    A model's inputs are read-only after construction, so anything
+    derived from them alone can be computed once, in the constructor.
+    """
 
     def __init__(self, config: ClusterConfig):
-        self.config = config
+        self._config = config
+
+    @property
+    def config(self) -> ClusterConfig:
+        """The cluster configuration the link runs on (read-only)."""
+        return self._config
 
     # -- required interface --------------------------------------------------
     @property

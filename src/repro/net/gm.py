@@ -58,7 +58,11 @@ LANAI_PACKET_COST = us(0.3)
 
 
 class GmModel(LinkModel):
-    """Native GM between two Myrinet NICs."""
+    """Native GM between two Myrinet NICs.
+
+    ``config`` and ``receive_mode`` are read-only; the constants derived
+    from them alone are computed once, at construction.
+    """
 
     def __init__(
         self,
@@ -68,35 +72,42 @@ class GmModel(LinkModel):
         if config.nic.kind is not NicKind.MYRINET:
             raise ValueError(f"GM requires a Myrinet NIC, got {config.nic.name}")
         super().__init__(config)
-        self.receive_mode = receive_mode
-
-    @property
-    def latency0(self) -> float:
-        nic, cfg = self.config.nic, self.config
-        base = (
+        self._receive_mode = receive_mode
+        nic = config.nic
+        latency = (
             DESCRIPTOR_COST  # post send descriptor
             + nic.wire_latency
-            + cfg.path_latency_extra
+            + config.path_latency_extra
             + DESCRIPTOR_COST  # completion detection on the receiver
             + 2 * LANAI_PACKET_COST
         )
-        if self.receive_mode is GmReceiveMode.BLOCKING:
-            base += BLOCKING_MODE_EXTRA
-        return base
-
-    @property
-    def pipeline_rate(self) -> float:
-        """Streaming rate: min(wire after fragment framing, PCI DMA)."""
-        nic = self.config.nic
+        if receive_mode is GmReceiveMode.BLOCKING:
+            latency += BLOCKING_MODE_EXTRA
+        self._latency0 = latency
+        # Streaming: min(wire after fragment framing, PCI DMA, host).
         # 8-byte GM packet header per 4 KB fragment: negligible but real.
         wire = nic.link_rate * GM_PACKET_BYTES / (GM_PACKET_BYTES + 8)
         wire *= nic.link_efficiency
         # Host descriptor processing per fragment:
         host_rate = GM_PACKET_BYTES / (LANAI_PACKET_COST + DESCRIPTOR_COST / 8)
-        return min(wire, self.config.pci_bandwidth, host_rate)
+        self._pipeline_rate = min(wire, config.pci_bandwidth, host_rate)
+
+    @property
+    def receive_mode(self) -> GmReceiveMode:
+        """The --gm-recv mode (read-only)."""
+        return self._receive_mode
+
+    @property
+    def latency0(self) -> float:
+        return self._latency0
+
+    @property
+    def pipeline_rate(self) -> float:
+        """Streaming rate: min(wire after fragment framing, PCI DMA)."""
+        return self._pipeline_rate
 
     def rate(self, nbytes: int) -> float:
-        return self.pipeline_rate
+        return self._pipeline_rate
 
     #: How long the hybrid receive mode spins before blocking.
     HYBRID_SPIN_QUANTUM = us(20.0)
@@ -162,17 +173,18 @@ class IpOverGmModel(TcpModel):
         )
         return mss / per_seg
 
-    @property
-    def latency0(self) -> float:
+    def latency_components(self) -> dict[str, float]:
+        """TCP's latency path with the GM-IP shim in place of Ethernet
+        serialisation."""
         host, nic, cfg = self.config.host, self.config.nic, self.config
-        return (
-            2 * host.syscall_time
-            + nic.tx_per_packet_time
-            + self.IP_ADAPTATION_LATENCY
-            + nic.wire_latency
-            + cfg.path_latency_extra
-            + host.interrupt_time
-            + nic.rx_per_packet_time
-            + host.sched_wakeup_time
-            + self.tuning.latency_adder
-        )
+        return {
+            "syscalls": 2 * host.syscall_time,
+            "tx per-packet": nic.tx_per_packet_time,
+            "ip-gm shim": self.IP_ADAPTATION_LATENCY,
+            "wire+driver": nic.wire_latency,
+            "switch": cfg.path_latency_extra,
+            "interrupt": host.interrupt_time,
+            "rx per-packet": nic.rx_per_packet_time,
+            "wakeup": host.sched_wakeup_time,
+            "library": self.tuning.latency_adder,
+        }

@@ -60,18 +60,48 @@ class TcpTuning:
 
 
 class TcpModel(LinkModel):
-    """One TCP connection over the cluster's Ethernet NICs."""
+    """One TCP connection over the cluster's Ethernet NICs.
+
+    ``config``, ``tuning`` and ``framing`` are read-only, so the
+    constants derived from them alone are computed once, at
+    construction, and read back per message.
+    """
 
     def __init__(self, config: ClusterConfig, tuning: TcpTuning | None = None):
         super().__init__(config)
-        self.tuning = tuning or TcpTuning()
-        self.framing = EthernetFraming(config.effective_mtu)
+        self._tuning = tuning or TcpTuning()
+        self._framing = EthernetFraming(config.effective_mtu)
+        # Added one by one, in order: ``sum()`` may round differently.
+        latency = 0.0
+        for part in self.latency_components().values():
+            latency += part
+        self._latency0 = latency
+        self._sockbuf = config.sysctl.effective_bufsize(self._tuning.sockbuf_request)
+        self._pipeline_rate = min(
+            self.wire_rate, self.pci_rate, self.tx_cpu_rate, self.rx_cpu_rate
+        )
+        stall = config.nic.ack_rtt + self._tuning.progress_stall
+        self._window_rate = self._sockbuf / stall if stall > 0 else float("inf")
+        # Bytes that ride the pipeline before window stalls phase in,
+        # and the per-byte cost each later byte adds.
+        self._grace = min(self._sockbuf, self.WINDOW_GRACE_BYTES)
+        self._stall_per_byte = 1.0 / self._window_rate - 1.0 / self._pipeline_rate
+
+    @property
+    def tuning(self) -> TcpTuning:
+        """The library's per-connection tuning (read-only)."""
+        return self._tuning
+
+    @property
+    def framing(self) -> EthernetFraming:
+        """Framing arithmetic at the config's effective MTU (read-only)."""
+        return self._framing
 
     # -- configuration-derived quantities -------------------------------------
     @property
     def sockbuf(self) -> int:
         """Socket buffer the connection actually got (bytes)."""
-        return self.config.sysctl.effective_bufsize(self.tuning.sockbuf_request)
+        return self._sockbuf
 
     @property
     def wire_rate(self) -> float:
@@ -103,15 +133,13 @@ class TcpModel(LinkModel):
     @property
     def pipeline_rate(self) -> float:
         """Streaming rate ignoring the window limit (bytes/s)."""
-        return min(self.wire_rate, self.pci_rate, self.tx_cpu_rate, self.rx_cpu_rate)
+        return self._pipeline_rate
 
     @property
     def window_rate(self) -> float:
-        """Stage 5: window-limited rate (bytes/s); inf when unconstrained."""
-        stall = self.config.nic.ack_rtt + self.tuning.progress_stall
-        if stall <= 0:
-            return float("inf")
-        return self.sockbuf / stall
+        """Stage 5: window-limited rate (bytes/s); inf when unconstrained:
+        ``sockbuf / (ack_rtt + progress_stall)``."""
+        return self._window_rate
 
     #: Transfers that fit in the initial ACK-free burst (a couple of
     #: segments) never see a window stall; beyond it, stalls phase in
@@ -123,19 +151,9 @@ class TcpModel(LinkModel):
     @property
     def latency0(self) -> float:
         """Fixed one-way small-message latency: syscalls, per-packet
-        costs, wire, interrupt and wakeup (Sec. 4's latency story)."""
-        host, nic, cfg = self.config.host, self.config.nic, self.config
-        return (
-            2 * host.syscall_time  # write() on one end, read() on the other
-            + nic.tx_per_packet_time
-            + nic.wire_latency
-            + self.framing.frame_time(1, nic.link_rate)
-            + cfg.path_latency_extra
-            + host.interrupt_time
-            + nic.rx_per_packet_time
-            + host.sched_wakeup_time
-            + self.tuning.latency_adder
-        )
+        costs, wire, interrupt and wakeup (Sec. 4's latency story);
+        the sum of :meth:`latency_components`, in their order."""
+        return self._latency0
 
     def stream_time(self, nbytes: int) -> float:
         """Pipeline time plus phased-in window stalls.
@@ -148,17 +166,15 @@ class TcpModel(LinkModel):
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        t = nbytes / self.pipeline_rate
-        win = self.window_rate
-        grace = min(self.sockbuf, self.WINDOW_GRACE_BYTES)
-        if win < self.pipeline_rate and nbytes > grace:
-            t += (nbytes - grace) * (1.0 / win - 1.0 / self.pipeline_rate)
+        t = nbytes / self._pipeline_rate
+        if self._window_rate < self._pipeline_rate and nbytes > self._grace:
+            t += (nbytes - self._grace) * self._stall_per_byte
         return t
 
     def rate(self, nbytes: int) -> float:
         """Effective streaming rate for an ``nbytes`` message."""
         if nbytes <= 0:
-            return self.pipeline_rate
+            return self._pipeline_rate
         return nbytes / self.stream_time(nbytes)
 
     def cpu_times(self, nbytes: int) -> tuple[float, float]:
@@ -203,7 +219,6 @@ class TcpModel(LinkModel):
             "wakeup": host.sched_wakeup_time,
             "library": self.tuning.latency_adder,
         }
-        assert abs(sum(components.values()) - self.latency0) < 1e-12
         return components
 
     # -- diagnostics -----------------------------------------------------------
@@ -215,6 +230,6 @@ class TcpModel(LinkModel):
             "tx-cpu": self.tx_cpu_rate,
             "rx-cpu": self.rx_cpu_rate,
         }
-        if nbytes > min(self.sockbuf, self.WINDOW_GRACE_BYTES):
+        if nbytes > self._grace:
             stages["window"] = self.window_rate
         return min(stages, key=stages.get)

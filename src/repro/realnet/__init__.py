@@ -10,13 +10,20 @@ let the protocol effects (buffer sizes, rendezvous dips, Nagle) be
 demonstrated on live hardware.
 """
 
-from repro.realnet.framing import MessageHeader, recv_exact, recv_message, send_message
+from repro.realnet.framing import (
+    DeadlineExceeded,
+    MessageHeader,
+    recv_exact,
+    recv_message,
+    send_message,
+)
 from repro.realnet.transport import SocketConfig, SocketTransport, connect_pair
 from repro.realnet.minimp import MiniMP, MiniMPConfig
 from repro.realnet.pingpong import RealNetPipe, run_real_netpipe
 from repro.realnet.world import PROGRAMS, MiniWorld, run_world
 
 __all__ = [
+    "DeadlineExceeded",
     "MessageHeader",
     "recv_exact",
     "recv_message",

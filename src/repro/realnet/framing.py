@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import time
 from dataclasses import dataclass
 
 MAGIC = b"MPRr"
@@ -36,6 +37,25 @@ VALID_KINDS = {KIND_DATA, KIND_RTS, KIND_CTS, KIND_BYE}
 
 class FramingError(Exception):
     """Corrupt or unexpected bytes on the wire."""
+
+
+class DeadlineExceeded(TimeoutError):
+    """A framed send or receive did not finish by its deadline.
+
+    The stream may have stopped mid-message, so the connection is not
+    usable afterwards.
+    """
+
+
+def _arm(sock: socket.socket, deadline: float | None) -> None:
+    """Bound the socket's next blocking call by ``deadline``
+    (a ``time.monotonic()`` instant; None leaves the socket as it is)."""
+    if deadline is None:
+        return
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise DeadlineExceeded("operation deadline passed")
+    sock.settimeout(remaining)
 
 
 @dataclass(frozen=True)
@@ -63,12 +83,24 @@ class MessageHeader:
         return cls(kind=kind, tag=tag, length=length)
 
 
-def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    """Read exactly ``nbytes`` or raise ConnectionError on EOF."""
+def recv_exact(
+    sock: socket.socket, nbytes: int, deadline: float | None = None
+) -> bytes:
+    """Read exactly ``nbytes`` or raise ConnectionError on EOF.
+
+    With a ``deadline`` (a ``time.monotonic()`` instant), raises
+    :class:`DeadlineExceeded` once it passes.
+    """
     chunks: list[bytes] = []
     remaining = nbytes
     while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
+        _arm(sock, deadline)
+        try:
+            chunk = sock.recv(min(remaining, 1 << 20))
+        except socket.timeout as exc:
+            raise DeadlineExceeded(
+                f"{remaining} of {nbytes} bytes still outstanding at the deadline"
+            ) from exc
         if not chunk:
             raise ConnectionError(
                 f"peer closed with {remaining} of {nbytes} bytes outstanding"
@@ -79,22 +111,38 @@ def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
 
 
 def send_message(
-    sock: socket.socket, kind: int, tag: int, payload: bytes | memoryview = b""
+    sock: socket.socket,
+    kind: int,
+    tag: int,
+    payload: bytes | memoryview = b"",
+    deadline: float | None = None,
 ) -> None:
-    """One header+payload write (sendall handles partial writes)."""
+    """One header+payload write (sendall handles partial writes).
+
+    With a ``deadline`` (a ``time.monotonic()`` instant), raises
+    :class:`DeadlineExceeded` once it passes.
+    """
     header = MessageHeader(kind=kind, tag=tag, length=len(payload)).pack()
     # One sendall for the header keeps small messages to a single
     # segment; large payloads follow separately to avoid a copy.
     if len(payload) and len(payload) <= 4096:
-        sock.sendall(header + bytes(payload))
+        parts = (header + bytes(payload),)
+    elif len(payload):
+        parts = (header, payload)
     else:
-        sock.sendall(header)
-        if len(payload):
-            sock.sendall(payload)
+        parts = (header,)
+    for part in parts:
+        _arm(sock, deadline)
+        try:
+            sock.sendall(part)
+        except socket.timeout as exc:
+            raise DeadlineExceeded("send unfinished at the deadline") from exc
 
 
-def recv_message(sock: socket.socket) -> tuple[MessageHeader, bytes]:
-    """Read one framed message."""
-    header = MessageHeader.unpack(recv_exact(sock, HEADER_SIZE))
-    payload = recv_exact(sock, header.length) if header.length else b""
+def recv_message(
+    sock: socket.socket, deadline: float | None = None
+) -> tuple[MessageHeader, bytes]:
+    """Read one framed message (by ``deadline``, if given)."""
+    header = MessageHeader.unpack(recv_exact(sock, HEADER_SIZE, deadline))
+    payload = recv_exact(sock, header.length, deadline) if header.length else b""
     return header, payload

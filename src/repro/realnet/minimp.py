@@ -18,6 +18,7 @@ not an MPI implementation.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -30,6 +31,13 @@ from repro.realnet.framing import (
 )
 from repro.realnet.transport import SocketTransport
 from repro.units import kb
+
+#: Seconds one ``send`` or ``recv`` may take, from call to return,
+#: before it raises ``framing.DeadlineExceeded``.  Over loopback the
+#: longest operation in the live sweeps, world collectives and stress
+#: runs of the test suite takes about 15 ms (2-vCPU Xeon), so this
+#: leaves room for loaded hosts and real networks.
+OP_TIMEOUT = 30.0
 
 
 class PeerClosed(Exception):
@@ -62,16 +70,20 @@ class MiniMP:
 
     # -- sending ---------------------------------------------------------------
     def send(self, payload: bytes | memoryview, tag: int = 0) -> None:
-        """Blocking send (returns when the kernel accepted all bytes)."""
+        """Blocking send (returns when the kernel accepted all bytes).
+
+        :raises repro.realnet.framing.DeadlineExceeded: past :data:`OP_TIMEOUT`
+        """
+        deadline = time.monotonic() + OP_TIMEOUT
         threshold = self.config.eager_threshold
         if threshold is not None and len(payload) >= threshold:
-            self.transport.send(KIND_RTS, tag)
-            self._await_cts(tag)
-        self.transport.send(KIND_DATA, tag, payload)
+            self.transport.send(KIND_RTS, tag, deadline=deadline)
+            self._await_cts(tag, deadline)
+        self.transport.send(KIND_DATA, tag, payload, deadline=deadline)
 
-    def _await_cts(self, tag: int) -> None:
+    def _await_cts(self, tag: int, deadline: float) -> None:
         while True:
-            header, payload = self._recv_or_raise()
+            header, payload = self._recv_or_raise(deadline)
             if header.kind == KIND_CTS and header.tag == tag:
                 return
             if header.kind == KIND_DATA:
@@ -94,6 +106,8 @@ class MiniMP:
         ``nbytes`` is the expected size: it decides whether this side
         expects a rendezvous handshake (mirroring how MPI receives know
         their buffer size).
+
+        :raises repro.realnet.framing.DeadlineExceeded: past :data:`OP_TIMEOUT`
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
@@ -101,10 +115,11 @@ class MiniMP:
             if qtag == tag:
                 del self._unexpected[i]
                 return qpayload
+        deadline = time.monotonic() + OP_TIMEOUT
         while True:
-            header, payload = self._recv_or_raise()
+            header, payload = self._recv_or_raise(deadline)
             if header.kind == KIND_RTS:
-                self.transport.send(KIND_CTS, header.tag)
+                self.transport.send(KIND_CTS, header.tag, deadline=deadline)
                 continue
             if header.kind == KIND_DATA:
                 if header.tag == tag:
@@ -114,9 +129,9 @@ class MiniMP:
                 continue
             raise FramingError(f"unexpected message kind {header.kind} in recv")
 
-    def _recv_or_raise(self):
+    def _recv_or_raise(self, deadline: float):
         try:
-            header, payload = self.transport.recv()
+            header, payload = self.transport.recv(deadline)
         except ConnectionError as exc:
             raise PeerClosed(str(exc)) from exc
         if header.kind == KIND_BYE:

@@ -54,6 +54,7 @@ def start_pong(
     """Spawn the echo child and return (parent endpoint, child handle)."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
+        sock_config.apply(listener)
         listener.bind((host, 0))
         listener.listen(1)
         port = listener.getsockname()[1]

@@ -2,8 +2,9 @@
 
 ``SocketConfig`` exposes exactly the knobs the paper turns on real
 systems: SO_SNDBUF/SO_RCVBUF (the socket buffers) and TCP_NODELAY
-(Nagle).  ``connect_pair`` builds a connected (server, client) socket
-pair over loopback for in-process tests; the two-process harness in
+(Nagle), plus TCP_MAXSEG, which pins loopback to an Ethernet-sized
+MSS.  ``connect_pair`` builds a connected (server, client) socket pair
+over loopback for in-process tests; the two-process harness in
 :mod:`repro.realnet.procs` uses the same configuration path.
 """
 
@@ -29,12 +30,27 @@ class SocketConfig:
         ``SocketTransport.effective_bufsizes`` reports what it granted)
     :param nodelay: disable Nagle (TCP_NODELAY); ping-pong benchmarks
         need this or sub-MSS messages wait for delayed ACKs
+    :param mss: TCP_MAXSEG in bytes.  Loopback's default MSS (~65 KB)
+        exceeds a small socket buffer, so every window would wait on a
+        kernel timer instead of an ACK; the default 1448 is Ethernet's,
+        the MSS the paper's clusters ran with.  Where the platform has
+        no TCP_MAXSEG it is skipped.
+
+    Apply a config before ``listen``/``connect``: the buffers and the
+    MSS shape the handshake, and accepted sockets inherit both from the
+    listener.
     """
 
     sockbuf: int | None = None
     nodelay: bool = True
+    mss: int = 1448
 
     def apply(self, sock: socket.socket) -> None:
+        if self.mss <= 0:
+            raise ValueError("mss must be positive")
+        maxseg = getattr(socket, "TCP_MAXSEG", None)
+        if maxseg is not None:
+            sock.setsockopt(socket.IPPROTO_TCP, maxseg, self.mss)
         if self.sockbuf is not None:
             if self.sockbuf <= 0:
                 raise ValueError("sockbuf must be positive")
@@ -51,11 +67,17 @@ class SocketTransport:
         self.sock = sock
         self.closed = False
 
-    def send(self, kind: int, tag: int, payload: bytes | memoryview = b"") -> None:
-        send_message(self.sock, kind, tag, payload)
+    def send(
+        self,
+        kind: int,
+        tag: int,
+        payload: bytes | memoryview = b"",
+        deadline: float | None = None,
+    ) -> None:
+        send_message(self.sock, kind, tag, payload, deadline)
 
-    def recv(self) -> tuple[MessageHeader, bytes]:
-        return recv_message(self.sock)
+    def recv(self, deadline: float | None = None) -> tuple[MessageHeader, bytes]:
+        return recv_message(self.sock, deadline)
 
     def effective_bufsizes(self) -> tuple[int, int]:
         """(SO_SNDBUF, SO_RCVBUF) as the kernel actually set them."""
@@ -87,12 +109,13 @@ def connect_pair(
 ) -> tuple[SocketTransport, SocketTransport]:
     """A connected (server_side, client_side) transport pair.
 
-    Socket buffers must be set *before* connect to influence the window
-    negotiation, exactly as the paper's libraries do.
+    Socket buffers and the MSS must be set *before* listen/connect to
+    influence the handshake, exactly as the paper's libraries do.
     """
     config = config or SocketConfig()
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
+        config.apply(listener)
         listener.bind((host, 0))
         listener.listen(1)
         port = listener.getsockname()[1]

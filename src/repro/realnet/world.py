@@ -151,6 +151,7 @@ def _build_worker_world(
     sock_config: SocketConfig,
 ) -> MiniWorld:
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock_config.apply(listener)
     listener.bind((host, 0))
     listener.listen(nranks)
     listener.settimeout(15.0)
@@ -203,6 +204,7 @@ def run_world(
     sock_config = sock_config or SocketConfig()
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock_config.apply(listener)
     listener.bind((host, 0))
     listener.listen(nranks)
     listener.settimeout(15.0)

@@ -12,7 +12,7 @@ from heapq import heappop, heappush
 from typing import Any, Generator, Optional
 
 from repro.obs.recorder import NULL_RECORDER
-from repro.sim.events import Event, Timeout, AllOf, AnyOf
+from repro.sim.events import PROCESSED, Event, Timeout, AllOf, AnyOf
 
 
 class SimError(Exception):
@@ -48,12 +48,16 @@ class Engine:
 
     # The engine is instantiated per sweep and its attributes are read
     # on every event; __slots__ keeps instances small and lookups fast.
-    __slots__ = ("_now", "_heap", "_seq", "events_processed", "obs")
+    __slots__ = (
+        "_now", "_heap", "_seq", "_seq_counted", "events_processed", "obs",
+    )
 
     def __init__(self, obs=None) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
+        #: ``_seq`` at the last ``sim.scheduled`` settlement
+        self._seq_counted = 0
         self.events_processed = 0
         #: repro.obs recorder every hook in the stack reads; the null
         #: recorder's class-level ``enabled = False`` keeps untraced
@@ -88,15 +92,15 @@ class Engine:
 
     def process(self, generator: Generator) -> "Process":
         """Start a new simulated process running ``generator``."""
-        from repro.sim.process import Process
-
         return Process(self, generator)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         # Hot path: called for every event in the simulation.  The
         # zero-delay case (process resumption kicks, immediate
-        # succeed()) skips the float add entirely.
+        # succeed()) skips the float add entirely.  No obs hook here:
+        # the ``sim.scheduled`` counter is settled from the ``_seq``
+        # delta when run()/step() return (see _settle_obs).
         if delay:
             if delay < 0:
                 raise ValueError(
@@ -108,20 +112,27 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (when, seq, event))
-        if self.obs.enabled:
-            self.obs.count("sim.scheduled")
+
+    def _settle_obs(self, processed: int) -> None:
+        """Credit the recorder with ``processed`` events and every
+        event scheduled since the last settlement."""
+        obs = self.obs
+        obs.count("sim.events", processed)
+        obs.count("sim.scheduled", self._seq - self._seq_counted)
+        self._seq_counted = self._seq
 
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
         """Process the single next event.  Raises SimError if none remain."""
         if not self._heap:
             raise SimError("no more events")
-        t, _, event = heappop(self._heap)
-        self._now = t
+        self._now, _, event = heappop(self._heap)
         self.events_processed += 1
-        if self.obs.enabled:
-            self.obs.count("sim.events")
-        event._fire()
+        try:
+            event._fire()
+        finally:
+            if self.obs.enabled:
+                self._settle_obs(1)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -135,60 +146,72 @@ class Engine:
         * ``until=<Event>`` — run until that event has fired; returns its
           value (re-raising its exception if it failed).
         """
-        # The loops below inline step() — one heappop and one _fire per
-        # event, with the heap bound to a local — because this is where
-        # a sweep spends nearly all of its time.  ``events_processed``
-        # is reconciled in ``finally`` so a mid-run exception (a failed
-        # process re-raising) still leaves the counter accurate.
+        # This is where a sweep spends nearly all of its time, so each
+        # loop below inlines step() and Event._fire: one heappop, the
+        # state flip and the callback calls, with the heap bound to a
+        # local.  ``events_processed`` is reconciled in ``finally`` so a
+        # mid-run exception (a failed process re-raising) still leaves
+        # the counter accurate.
         heap = self._heap
         processed = 0
-        if self.obs.enabled:
+        traced = self.obs.enabled
+        if traced:
             self.obs.count("sim.runs")
-        if until is None:
-            try:
-                while heap:
-                    t, _, event = heappop(heap)
-                    self._now = t
-                    processed += 1
-                    event._fire()
-            finally:
-                self.events_processed += processed
-                if self.obs.enabled:
-                    self.obs.count("sim.events", processed)
-            return None
+        target = None
+        horizon = 0.0
         if isinstance(until, Event):
             target = until
-            try:
-                while not target.processed:
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self._now:
+                raise ValueError("cannot run() to a time in the past")
+        try:
+            if until is None:
+                while heap:
+                    self._now, _, event = heappop(heap)
+                    processed += 1
+                    event._state = PROCESSED
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    for cb in callbacks:
+                        cb(event)
+            elif target is not None:
+                while target._state != PROCESSED:
                     if not heap:
                         raise SimError(
                             "deadlock: event heap drained before the awaited "
                             "event fired (a process is waiting on something "
                             "that can never happen)"
                         )
-                    t, _, event = heappop(heap)
-                    self._now = t
+                    self._now, _, event = heappop(heap)
                     processed += 1
-                    event._fire()
-            finally:
-                self.events_processed += processed
-                if self.obs.enabled:
-                    self.obs.count("sim.events", processed)
-            if not target.ok:
-                raise target.value
-            return target.value
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError("cannot run() to a time in the past")
-        try:
-            while heap and heap[0][0] <= horizon:
-                t, _, event = heappop(heap)
-                self._now = t
-                processed += 1
-                event._fire()
+                    event._state = PROCESSED
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    for cb in callbacks:
+                        cb(event)
+            else:
+                while heap and heap[0][0] <= horizon:
+                    self._now, _, event = heappop(heap)
+                    processed += 1
+                    event._state = PROCESSED
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    for cb in callbacks:
+                        cb(event)
         finally:
             self.events_processed += processed
-            if self.obs.enabled:
-                self.obs.count("sim.events", processed)
-        self._now = max(self._now, horizon)
+            if traced:
+                self._settle_obs(processed)
+        if target is not None:
+            if not target._ok:
+                raise target._value
+            return target._value
+        if until is not None:
+            self._now = max(self._now, horizon)
         return None
+
+
+# Bound at import end: process.py imports this module, and the package
+# __init__ always loads this module first.
+from repro.sim.process import Process  # noqa: E402

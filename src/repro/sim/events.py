@@ -89,7 +89,8 @@ class Event:
         return self
 
     def _fire(self) -> None:
-        """Run callbacks.  Called by the engine; do not call directly."""
+        """Run callbacks.  Called by ``Engine.step``; ``Engine.run``
+        inlines this body, so subclasses must not override it."""
         self._state = PROCESSED
         callbacks, self.callbacks = self.callbacks, []
         for cb in callbacks:
@@ -108,11 +109,14 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None):  # noqa: F821
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(engine)
-        self.delay = delay
+        # Slots set directly (one Timeout per simulated delay, so the
+        # chained Event.__init__ frame is measurable).
+        self.engine = engine
+        self.callbacks = []
+        self._value = value
         self._state = TRIGGERED
         self._ok = True
-        self._value = value
+        self.delay = delay
         engine._schedule(self, delay)
 
 

@@ -8,10 +8,11 @@ how the ping and pong sides of a NetPIPE trial synchronise.
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Generator
 
 from repro.sim.engine import Engine, Interrupt, SimError
-from repro.sim.events import Event
+from repro.sim.events import PENDING, PROCESSED, TRIGGERED, Event
 
 
 class Process(Event):
@@ -23,24 +24,35 @@ class Process(Event):
     exception is thrown in).
     """
 
-    __slots__ = ("generator", "_waiting_on", "_obs_t0")
+    __slots__ = ("generator", "_waiting_on", "_obs_t0", "_resume_cb")
 
     def __init__(self, engine: Engine, generator: Generator):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and (
+            not hasattr(generator, "send") or not hasattr(generator, "throw")
+        ):
             raise TypeError(
                 f"Engine.process() needs a generator, got {type(generator).__name__}"
             )
-        super().__init__(engine)
+        # Slots set directly rather than through Event.__init__: a sweep
+        # starts a process per message delivery.
+        self.engine = engine
+        self.callbacks = []
+        self._value = None
+        self._state = PENDING
+        self._ok = True
         self.generator = generator
         self._waiting_on: Event | None = None
         self._obs_t0 = 0.0
+        #: the bound resume callback, made once instead of per wait
+        self._resume_cb = resume = self._resume
         if engine.obs.enabled:
             engine.obs.count("sim.process.started")
             self._obs_t0 = engine.now
         # Kick off the process asynchronously at the current instant.
         start = Event(engine)
-        start.callbacks.append(self._resume)
-        start.succeed(None)
+        start.callbacks.append(resume)
+        start._state = TRIGGERED
+        engine._schedule(start)
 
     @property
     def is_alive(self) -> bool:
@@ -58,33 +70,39 @@ class Process(Event):
         waited = self._waiting_on
         if waited is not None:
             try:
-                waited.callbacks.remove(self._resume)
+                waited.callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
             self._waiting_on = None
-        kick = Event(self.engine)
-        kick.callbacks.append(lambda ev: self._throw(Interrupt(cause)))
-        kick.succeed(None)
+        self._kick(ok=False, value=Interrupt(cause))
 
     # -- internal ------------------------------------------------------------
+    def _kick(self, ok: bool, value: Any) -> None:
+        """Resume at the current instant (asynchronously, to preserve
+        deterministic ordering) as if an event fired with ``value``."""
+        kick = Event(self.engine)
+        kick.callbacks.append(self._resume_cb)
+        kick._state = TRIGGERED
+        kick._ok = ok
+        kick._value = value
+        self.engine._schedule(kick)
+
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        # The per-event hot path: one frame from the fired event to the
+        # generator and back, with the yielded event checked inline.
+        if self._state != PENDING:
             return
         self._waiting_on = None
-        if event.ok:
-            self._advance(lambda: self.generator.send(event.value))
-        else:
-            self._advance(lambda: self.generator.throw(event.value))
-
-    def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        self._advance(lambda: self.generator.throw(exc))
-
-    def _advance(self, step) -> None:
         try:
-            target = step()
+            if event._ok:
+                target = self.generator.send(event._value)
+            else:
+                target = self.generator.throw(event._value)
         except StopIteration as stop:
+            # Drop the cached callback: it references this process, and
+            # a finished process should be freed by refcounting, not
+            # wait for the cyclic garbage collector.
+            self._resume_cb = None
             obs = self.engine.obs
             if obs.enabled:
                 obs.count("sim.process.finished")
@@ -96,6 +114,7 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self._resume_cb = None
             obs = self.engine.obs
             if obs.enabled:
                 obs.count("sim.process.failed")
@@ -113,12 +132,10 @@ class Process(Event):
             )
         if target.engine is not self.engine:
             raise SimError("process yielded an event from a different engine")
-        if target.processed:
-            # Already fired: resume immediately (but asynchronously, to
-            # preserve deterministic ordering).
-            kick = Event(self.engine)
-            kick.callbacks.append(lambda ev: self._resume(target))
-            kick.succeed(None)
+        if target._state == PROCESSED:
+            # Already fired: resume with its outcome (asynchronously,
+            # via _kick, to preserve deterministic ordering).
+            self._kick(target._ok, target._value)
         else:
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self._resume_cb)
         self._waiting_on = target

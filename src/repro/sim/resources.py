@@ -17,7 +17,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 
 class Request(Event):
@@ -26,7 +26,12 @@ class Request(Event):
     __slots__ = ("resource", "amount")
 
     def __init__(self, resource: "Resource", amount: int):
-        super().__init__(resource.engine)
+        # Slots set directly: one Request per simulated transfer.
+        self.engine = resource.engine
+        self.callbacks = []
+        self._value = None
+        self._state = PENDING
+        self._ok = True
         self.resource = resource
         self.amount = amount
 
@@ -107,7 +112,12 @@ class Get(Event):
     __slots__ = ("filter",)
 
     def __init__(self, engine: Engine, filter: Optional[Callable[[Any], bool]]):
-        super().__init__(engine)
+        # Slots set directly: one Get per simulated receive.
+        self.engine = engine
+        self.callbacks = []
+        self._value = None
+        self._state = PENDING
+        self._ok = True
         self.filter = filter
 
 
@@ -149,18 +159,19 @@ class Store:
     def _match(self) -> None:
         # Pair waiting getters with queued items, respecting FIFO order on
         # both sides but honouring filters.
+        getters, items = self._getters, self._items
         progress = True
-        while progress and self._getters and self._items:
+        while progress and getters and items:
             progress = False
-            for getter in list(self._getters):
+            for getter in list(getters):
                 chosen = None
-                for item in self._items:
+                for item in items:
                     if getter.filter is None or getter.filter(item):
                         chosen = item
                         break
                 if chosen is not None:
-                    self._items.remove(chosen)
-                    self._getters.remove(getter)
+                    items.remove(chosen)
+                    getters.remove(getter)
                     getter.succeed(chosen)
                     progress = True
                     break

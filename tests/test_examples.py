@@ -4,6 +4,7 @@ Each example's ``main()`` is executed with stdout captured; a broken
 example fails here before a user finds it.
 """
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -45,6 +46,18 @@ def test_live_loopback_example_runs(capsys):
     runpy.run_path(str(EXAMPLES / "live_loopback.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert "loopback" in out
+    # The 16 KB sweep must be window-bound, not timer-bound.  Refilling
+    # a 16 KB window once per loopback round trip (tens of us) moves
+    # Gb/s; a window larger than the MSS-clamped segments waits on a
+    # kernel timer instead and moves a few Mb/s.  100 Mb/s sits more
+    # than an order of magnitude from both.
+    found = re.search(r"1 MB throughput from (\d+) to (\d+) Mb/s", out)
+    assert found, out
+    small_buffers_mbps = float(found.group(2))
+    assert small_buffers_mbps >= 100, (
+        f"16 KB buffers moved 1 MB at {small_buffers_mbps:.0f} Mb/s: "
+        "timer-bound, not window-bound"
+    )
 
 
 def test_quickstart_states_the_headline(capsys):

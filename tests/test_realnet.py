@@ -1,11 +1,14 @@
 """Real-socket backend: framing, transport, MiniMP, and the live sweep."""
 
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.core import netpipe_sizes
 from repro.realnet import (
+    DeadlineExceeded,
     MiniMP,
     MiniMPConfig,
     SocketConfig,
@@ -20,6 +23,7 @@ from repro.realnet.framing import (
     FramingError,
     MessageHeader,
 )
+from repro.realnet import minimp
 from repro.realnet.minimp import PeerClosed
 from repro.units import kb
 
@@ -98,6 +102,27 @@ def test_socket_config_sets_buffers():
 def test_socket_config_rejects_bad_bufsize():
     with pytest.raises(ValueError):
         connect_pair(SocketConfig(sockbuf=0))
+
+
+@pytest.mark.skipif(
+    not hasattr(socket, "TCP_MAXSEG"), reason="platform has no TCP_MAXSEG"
+)
+def test_socket_config_clamps_the_mss():
+    """Both ends of the handshake see the configured MSS (TCP options
+    may shave a few bytes more off the segment payload)."""
+    a, b = connect_pair(SocketConfig(mss=1000))
+    try:
+        for end in (a, b):
+            mss = end.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_MAXSEG)
+            assert 0 < mss <= 1000
+    finally:
+        a.close()
+        b.close()
+
+
+def test_socket_config_rejects_bad_mss():
+    with pytest.raises(ValueError):
+        connect_pair(SocketConfig(mss=0))
 
 
 # -- MiniMP ---------------------------------------------------------------------
@@ -185,6 +210,27 @@ def test_minimp_close_raises_peerclosed():
 def test_minimp_config_validation():
     with pytest.raises(ValueError):
         MiniMPConfig(eager_threshold=0)
+
+
+@pytest.mark.parametrize("op", ["recv", "rendezvous send"])
+def test_minimp_wait_is_bounded_by_its_deadline(op, monkeypatch):
+    """A peer that never answers costs one OP_TIMEOUT, then a typed
+    error, instead of a wait without end."""
+    monkeypatch.setattr(minimp, "OP_TIMEOUT", 0.2)
+    a, b = connect_pair()
+    cfg = MiniMPConfig(eager_threshold=kb(1))
+    mp, silent = MiniMP(a, cfg), MiniMP(b, cfg)
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            if op == "recv":
+                mp.recv(10)
+            else:
+                mp.send(bytes(kb(4)))  # waits for a CTS that never comes
+        assert time.monotonic() - t0 < 5.0
+    finally:
+        mp.close()
+        silent.close()
 
 
 # -- live two-process sweep -------------------------------------------------------
