@@ -22,8 +22,7 @@ checker or unit test sees:
 ``repro.check`` enforces all four with a dependency-free AST analyzer.
 Per-file rule families live under :mod:`repro.check.rules`; the
 cross-module families (protocol-flow, dimension) run over the module
-graph in :mod:`repro.check.project`, which also provides the
-content-digest-keyed AST cache.  Policy lives in
+graph in :mod:`repro.check.project`.  Policy lives in
 :mod:`repro.check.config`, the CLI (``python -m repro check`` /
 ``repro-check``, with ``--rules`` selection and SARIF output) in
 :mod:`repro.check.cli`.  See docs/STATIC_ANALYSIS.md for the rule
@@ -40,10 +39,9 @@ from repro.check.analyzer import (
     module_name_for_path,
 )
 from repro.check.config import DEFAULT_POLICY, SIM_PACKAGES, Policy
-from repro.check.project import AstCache, Project
+from repro.check.project import Project
 
 __all__ = [
-    "AstCache",
     "Finding",
     "ModuleContext",
     "Project",

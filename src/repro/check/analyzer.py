@@ -1,7 +1,8 @@
 """The analysis driver: parse, dispatch rule families, filter, sort.
 
 One :class:`ModuleContext` per file carries everything a rule needs
-(AST, resolved module name, source).  Rules never do their own policy
+(AST, resolved module name, source, and the import map every family
+shares, built on first use).  Rules never do their own policy
 or suppression filtering — they report every raw violation and the
 driver applies :class:`~repro.check.config.Policy` scoping, per-rule
 exemptions, and ``# repro: allow[rule-id]`` line suppressions.
@@ -19,9 +20,11 @@ simulation packages.
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import re
 import tokenize
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -61,6 +64,11 @@ class ModuleContext:
     tree: ast.Module
     source: str
 
+    @functools.cached_property
+    def imports(self) -> "ImportMap":
+        """The module's import map, built once and shared by every family."""
+        return ImportMap.from_tree(self.tree)
+
     def finding(
         self, node: ast.AST, rule: str, message: str
     ) -> Finding:
@@ -72,6 +80,25 @@ class ModuleContext:
             rule=rule,
             message=message,
         )
+
+
+#: Fields that hold statements (or handler/case nodes holding them).
+STATEMENT_LISTS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
+def iter_statements(tree: ast.AST) -> Iterator[ast.AST]:
+    """``tree`` and every statement under it, nested ones included.
+
+    Except handlers and match cases are yielded too (they hold
+    statements); expressions are never entered.  The order is
+    :func:`ast.walk`'s breadth-first order restricted to statements.
+    """
+    queue = deque([tree])
+    while queue:
+        node = queue.popleft()
+        yield node
+        for field in STATEMENT_LISTS:
+            queue.extend(getattr(node, field, ()))
 
 
 class ImportMap:
@@ -88,8 +115,14 @@ class ImportMap:
 
     @classmethod
     def from_tree(cls, tree: ast.AST) -> "ImportMap":
+        """Map every import in ``tree``, nested ones included.
+
+        Imports are statements, so :func:`iter_statements` finds them
+        all; its order is :func:`ast.walk`'s, so when two imports bind
+        one name the same one wins as in a full walk.
+        """
         imap = cls()
-        for node in ast.walk(tree):
+        for node in iter_statements(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -234,7 +267,6 @@ def analyze_project(
     project,
     policy: Policy = DEFAULT_POLICY,
     rules: frozenset[str] | set[str] | None = None,
-    only_paths: set[str] | frozenset[str] | None = None,
 ) -> list[Finding]:
     """Run every applicable rule family over a built Project.
 
@@ -244,47 +276,33 @@ def analyze_project(
     module each finding lands in.  ``rules`` (when given) is the set of
     rule ids to keep — families with no selected rule are skipped
     entirely; ``parse-error`` is always reported.
-
-    ``only_paths`` (the ``--changed`` machinery) restricts *reported*
-    findings to those paths and runs per-module families only on them;
-    project-scope families still see the whole graph — a cross-module
-    property needs the full universe even when only one file moved.
     """
     from repro.check.rules import FAMILIES, PROJECT_FAMILIES, RULES
 
     def selected(family) -> bool:
         return rules is None or bool(set(family.RULES) & rules)
 
-    def in_scope(path: str) -> bool:
-        return only_paths is None or path in only_paths
-
-    raw: list[Finding] = [f for f in project.errors if in_scope(f.path)]
+    raw: list[Finding] = list(project.errors)
     for family in FAMILIES:
         if not selected(family):
             continue
         for ctx in project.modules:
-            if not in_scope(ctx.path):
-                continue
             if policy.family_applies(family.FAMILY, ctx.module):
                 raw.extend(family.check(ctx))
     for family in PROJECT_FAMILIES:
         if not selected(family):
             continue
         for finding in family.check_project(project):
-            if not in_scope(finding.path):
-                continue
             module = project.module_for_path(finding.path)
             if policy.family_applies(family.FAMILY, module):
                 raw.append(finding)
 
-    # Suppressions are collected eagerly for every in-scope module (not
-    # just paths with findings) so stale allow comments in clean files
-    # are still judged by the unused-suppression meta-rule.
+    # Suppressions are collected eagerly for every module (not just
+    # paths with findings) so stale allow comments in clean files are
+    # still judged by the unused-suppression meta-rule.
     suppressions_by_path: dict[str, dict[int, set[str]]] = {}
     allows_by_path: dict[str, list[AllowComment]] = {}
     for ctx in project.modules:
-        if not in_scope(ctx.path):
-            continue
         if "allow[" not in ctx.source:
             # Fast path: tokenizing is ~ms per file; a substring probe
             # keeps the eager sweep free for the vast allow-less case.
@@ -429,16 +447,14 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
 def analyze_paths(
     paths: Sequence[str | Path],
     policy: Policy = DEFAULT_POLICY,
-    cache=None,
     rules: frozenset[str] | set[str] | None = None,
 ) -> list[Finding]:
     """Analyze files and directory trees; findings sorted by location.
 
     All files are loaded into one :class:`~repro.check.project.Project`
     first so cross-module families can resolve names between them.
-    ``cache`` is an optional :class:`~repro.check.project.AstCache`.
     """
     from repro.check.project import Project
 
-    project = Project.from_paths(paths, cache=cache)
+    project = Project.from_paths(paths)
     return analyze_project(project, policy=policy, rules=rules)

@@ -15,7 +15,6 @@ silent no-op.
 
     $ repro-check src --rules 'det-*,dim-*'        # only those families
     $ repro-check src --format sarif > check.sarif # for code scanning
-    $ repro-check src --cache .repro-cache/ast     # skip unchanged parses
 """
 
 from __future__ import annotations
@@ -97,32 +96,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        help=(
-            "on-disk AST cache directory keyed by file content digest; "
-            "a warm re-run parses zero unchanged files"
-        ),
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "analyze only files whose content digest differs from the "
-            "AST cache (requires --cache); cross-module families still "
-            "see the whole graph, findings are reported for changed "
-            "files only"
-        ),
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help=(
-            "report parsed vs cache-hit file counts and summary "
-            "compute/reuse counts on stderr"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -141,40 +114,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"repro-check: {exc}", file=sys.stderr)
             return 2
 
-    from repro.check.project import AstCache, Project
+    from repro.check.project import Project
 
-    if args.changed and not args.cache:
-        print(
-            "repro-check: --changed requires --cache (the AST cache is "
-            "what defines 'unchanged')",
-            file=sys.stderr,
-        )
-        return 2
-
-    cache = AstCache(args.cache) if args.cache else None
     try:
-        project = Project.from_paths(args.paths, cache=cache)
+        project = Project.from_paths(args.paths)
     except FileNotFoundError as exc:
         print(f"repro-check: {exc}", file=sys.stderr)
         return 2
-    only_paths = frozenset(project.changed_paths) if args.changed else None
-    findings = analyze_project(
-        project, policy=DEFAULT_POLICY, rules=rules, only_paths=only_paths
-    )
+    findings = analyze_project(project, policy=DEFAULT_POLICY, rules=rules)
     nfiles = project.stats.files
-
-    if args.stats:
-        stats = project.stats
-        line = (
-            f"repro-check: {nfiles} files, "
-            f"{stats.parsed} parsed, "
-            f"{stats.cache_hits} from AST cache, "
-            f"{stats.summaries_computed} summaries computed, "
-            f"{stats.summaries_reused} reused"
-        )
-        if args.changed:
-            line += f", {len(project.changed_paths)} changed"
-        print(line, file=sys.stderr)
 
     if args.format == "json":
         print(

@@ -9,7 +9,7 @@ functions.
 
 This module computes, for every function in a
 :class:`~repro.check.project.Project`, one
-:class:`FunctionSummary` — a small, JSON-serializable record of the
+:class:`FunctionSummary` — a small, immutable record of the
 facts the ``async-*`` and ``fp-*`` rule families need:
 
 * await points, calls (canonicalized through the module's import
@@ -25,14 +25,9 @@ facts the ``async-*`` and ``fp-*`` rule families need:
   ultimately depends on, including control dependencies (an input that
   picks the branch shapes the value as surely as one added to it).
 
-Summaries are **intra**-procedural, so they cache per file: the
-content digest that keys the pickled AST also keys the summary list
-(same generation directory, same invalidation story — editing any
-``check`` source starts a fresh generation, editing one analyzed
-module re-summarizes only that module).  The interprocedural closure
-(:class:`Dataflow`) is recomputed from summaries on every run; it is
-dictionary lookups, not parsing, and stays well inside the warm-run
-budget.
+Summaries are **intra**-procedural: each module is summarized once
+per run, on its own.  The interprocedural closure (:class:`Dataflow`)
+is built from those summaries; it is dictionary lookups, not parsing.
 
 Resolution is best-effort and *sound for the rules built on it*: a
 call that cannot be resolved (a method on an arbitrary object, a
@@ -43,18 +38,10 @@ families document what that means for their verdicts.
 from __future__ import annotations
 
 import ast
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.check.analyzer import ImportMap, ModuleContext
-
-#: Bump on any change to the summary record shape.  Edits to this file
-#: already start a fresh cache generation (the AST-cache salt digests
-#: the ``check`` package); the version guards hand-built caches.
-SUMMARY_VERSION = "repro-summary-v1"
 
 #: Dotted prefixes whose *read* makes a value environment-dependent.
 ENV_PREFIXES = ("os.environ", "os.getenv")
@@ -77,14 +64,6 @@ class Race:
     await_line: int
     write_line: int
     write_col: int
-
-    def to_jsonable(self) -> list:
-        return [self.attr, self.read_line, self.await_line,
-                self.write_line, self.write_col]
-
-    @classmethod
-    def from_jsonable(cls, data: Sequence) -> "Race":
-        return cls(data[0], data[1], data[2], data[3], data[4])
 
 
 @dataclass(frozen=True)
@@ -109,33 +88,6 @@ class CachePut:
     value_calls: tuple[tuple[str, int], ...]
     value_env: tuple[tuple[str, int], ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "recv": self.recv,
-            "method": self.method,
-            "line": self.line,
-            "col": self.col,
-            "key_roots": list(self.key_roots),
-            "value_roots": list(self.value_roots),
-            "control_roots": list(self.control_roots),
-            "value_calls": [list(c) for c in self.value_calls],
-            "value_env": [list(e) for e in self.value_env],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "CachePut":
-        return cls(
-            recv=data["recv"],
-            method=data["method"],
-            line=data["line"],
-            col=data["col"],
-            key_roots=tuple(data["key_roots"]),
-            value_roots=tuple(data["value_roots"]),
-            control_roots=tuple(data["control_roots"]),
-            value_calls=tuple((c[0], c[1]) for c in data["value_calls"]),
-            value_env=tuple((e[0], e[1]) for e in data["value_env"]),
-        )
-
 
 @dataclass(frozen=True)
 class FunctionSummary:
@@ -156,47 +108,6 @@ class FunctionSummary:
     orphan_tasks: tuple[tuple[int, int], ...]
     unbounded_queues: tuple[tuple[int, int], ...]
     cache_puts: tuple[CachePut, ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "module": self.module,
-            "qualname": self.qualname,
-            "cls": self.cls,
-            "line": self.line,
-            "is_async": self.is_async,
-            "params": list(self.params),
-            "awaits": list(self.awaits),
-            "calls": [list(c) for c in self.calls],
-            "attr_writes": [list(w) for w in self.attr_writes],
-            "env_reads": [list(e) for e in self.env_reads],
-            "races": [r.to_jsonable() for r in self.races],
-            "orphan_tasks": [list(t) for t in self.orphan_tasks],
-            "unbounded_queues": [list(q) for q in self.unbounded_queues],
-            "cache_puts": [p.to_jsonable() for p in self.cache_puts],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "FunctionSummary":
-        return cls(
-            module=data["module"],
-            qualname=data["qualname"],
-            cls=data["cls"],
-            line=data["line"],
-            is_async=data["is_async"],
-            params=tuple(data["params"]),
-            awaits=tuple(data["awaits"]),
-            calls=tuple((c[0], c[1], c[2]) for c in data["calls"]),
-            attr_writes=tuple((w[0], w[1]) for w in data["attr_writes"]),
-            env_reads=tuple((e[0], e[1], e[2]) for e in data["env_reads"]),
-            races=tuple(Race.from_jsonable(r) for r in data["races"]),
-            orphan_tasks=tuple((t[0], t[1]) for t in data["orphan_tasks"]),
-            unbounded_queues=tuple(
-                (q[0], q[1]) for q in data["unbounded_queues"]
-            ),
-            cache_puts=tuple(
-                CachePut.from_jsonable(p) for p in data["cache_puts"]
-            ),
-        )
 
 
 # -- expression scanning ------------------------------------------------------
@@ -868,10 +779,9 @@ def _summarize_function(
     )
 
 
-def summarize_module(
-    ctx: ModuleContext, imap: ImportMap
-) -> list[FunctionSummary]:
+def summarize_module(ctx: ModuleContext) -> list[FunctionSummary]:
     """Summaries for every function and method in one module."""
+    imap = ctx.imports
     out: list[FunctionSummary] = []
 
     def walk(body: Sequence[ast.stmt], prefix: str, cls: str | None) -> None:
@@ -889,66 +799,13 @@ def summarize_module(
     return out
 
 
-# -- the summary cache --------------------------------------------------------
-
-class SummaryCache:
-    """Per-file summary store sharing the AST cache's generation dir.
-
-    Layout: ``<root>/<salt>/<digest[:2]>/<digest>.sum.json`` — the same
-    content digest that names a file's pickled AST names its summary
-    list, so the two caches hit and miss together and a stale summary
-    can never outlive its tree.
-    """
-
-    def __init__(self, root: Path) -> None:
-        self.root = root
-
-    @classmethod
-    def for_ast_cache(cls, ast_cache) -> "SummaryCache":
-        return cls(ast_cache.root)
-
-    def _entry(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.sum.json"
-
-    def get(self, digest: str) -> list[FunctionSummary] | None:
-        try:
-            payload = json.loads(self._entry(digest).read_text("utf-8"))
-            if payload.get("version") != SUMMARY_VERSION:
-                return None
-            return [
-                FunctionSummary.from_jsonable(f)
-                for f in payload["functions"]
-            ]
-        except Exception:
-            return None
-
-    def put(self, digest: str, summaries: list[FunctionSummary]) -> None:
-        entry = self._entry(digest)
-        try:
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            tmp = entry.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(
-                json.dumps({
-                    "version": SUMMARY_VERSION,
-                    "functions": [s.to_jsonable() for s in summaries],
-                }),
-                "utf-8",
-            )
-            tmp.replace(entry)
-        except OSError:
-            pass  # read-only cache degrades to summarize-always
-
-
 # -- the interprocedural view -------------------------------------------------
 
 class Dataflow:
     """Call-graph + summary index over one Project.
 
     Build once per analysis run (:meth:`repro.check.project.Project.
-    dataflow` memoizes).  Summaries come from the per-file cache when
-    the project was loaded with one; the cross-module index and
-    transitive closures are always recomputed — they are the cheap
-    part.
+    dataflow` memoizes).
     """
 
     def __init__(self, project) -> None:
@@ -958,31 +815,15 @@ class Dataflow:
         self.functions: dict[tuple[str, str], FunctionSummary] = {}
         self.by_module: dict[str, list[FunctionSummary]] = {}
         #: (path, module, summary) triples in load order; summaries do
-        #: not carry paths (a cached summary must survive a file move),
-        #: so the triple is how rules anchor findings.
+        #: not carry paths, so the triple is how rules anchor findings.
         self.entries: list[tuple[str, str | None, FunctionSummary]] = []
         self._closure_memo: dict = {}
 
     @classmethod
     def build(cls, project) -> "Dataflow":
         flow = cls(project)
-        cache = None
-        ast_cache = getattr(project, "ast_cache", None)
-        if ast_cache is not None:
-            cache = SummaryCache.for_ast_cache(ast_cache)
         for ctx in project.modules:
-            digest = project.digest_by_path.get(ctx.path)
-            summaries = None
-            if cache is not None and digest is not None:
-                summaries = cache.get(digest)
-            if summaries is None:
-                summaries = summarize_module(ctx, project.imports_of(ctx))
-                project.stats.summaries_computed += 1
-                if cache is not None and digest is not None:
-                    cache.put(digest, summaries)
-            else:
-                project.stats.summaries_reused += 1
-            flow._index(ctx, summaries)
+            flow._index(ctx, summarize_module(ctx))
         return flow
 
     def _index(self, ctx: ModuleContext, summaries: list[FunctionSummary]) -> None:

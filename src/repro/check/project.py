@@ -2,113 +2,37 @@
 
 A :class:`Project` is a module graph over a set of analyzed files: one
 :class:`~repro.check.analyzer.ModuleContext` per file, indexed by path
-and by resolved module name, plus lazy per-module import maps and
-top-level definition tables.  Project-scope rule families (protocol
-flow, dimension analysis) use it to resolve a name in one module to
-its definition in another — following ``from x import y`` re-export
-chains — which a per-file analyzer cannot do.
+and by resolved module name, plus lazy top-level definition tables.
+Project-scope rule families (protocol flow, dimension analysis) use it
+to resolve a name in one module to its definition in another —
+following ``from x import y`` re-export chains — which a per-file
+analyzer cannot do.
 
-Parsing is the dominant cost of a whole-tree run, so the project
-supports an on-disk AST cache keyed by *content digest*: the SHA-256
-of the file bytes names a pickled AST, and the cache directory is
-versioned by the Python version plus a source digest over the
-``check`` package itself (the same :func:`repro.exec.fingerprint.
-source_digest` machinery that salts the sweep cache).  Editing any
-analyzer source automatically invalidates every cached tree; an
-unchanged tree re-runs with zero parses.  Corrupt or unreadable
-entries are treated as misses, never errors.
+Every build parses each file once; nothing is kept on disk between
+runs.
 """
 
 from __future__ import annotations
 
 import ast
-import functools
-import hashlib
-import os
-import pickle
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.check.analyzer import (
     Finding,
-    ImportMap,
     ModuleContext,
     _directive_module,
     iter_python_files,
     module_name_for_path,
 )
 
-#: Bump only on a semantic break in the cache entry format; analyzer
-#: code edits are picked up automatically via the source digest.
-_CACHE_VERSION = "repro-ast-v1"
-
-
-@functools.lru_cache(maxsize=None)
-def ast_cache_salt() -> str:
-    """Version tag naming the cache generation directory.
-
-    Folds in the Python minor version (pickled ASTs are not portable
-    across grammars) and a content digest over the ``check`` package,
-    so editing any rule or driver source starts a fresh generation.
-    """
-    from repro.exec.fingerprint import source_digest
-
-    tag = f"{_CACHE_VERSION}-py{sys.version_info[0]}.{sys.version_info[1]}"
-    digest = source_digest(packages=("check",))
-    return f"{tag}+{digest[:16]}" if digest else tag
-
-
-def file_digest(data: bytes) -> str:
-    """Content digest keying one file's cached AST."""
-    return hashlib.sha256(data).hexdigest()
-
-
-class AstCache:
-    """Content-addressed pickled-AST store under one directory.
-
-    Layout: ``<root>/<salt>/<digest[:2]>/<digest>.ast``.  Writes are
-    atomic (temp file + rename) so a crashed run never leaves a
-    half-written entry; reads treat any unpicklable or non-AST payload
-    as a miss.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root) / ast_cache_salt()
-
-    def _entry(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.ast"
-
-    def get(self, digest: str) -> ast.Module | None:
-        entry = self._entry(digest)
-        try:
-            payload = entry.read_bytes()
-            tree = pickle.loads(payload)
-        except Exception:
-            return None
-        return tree if isinstance(tree, ast.Module) else None
-
-    def put(self, digest: str, tree: ast.Module) -> None:
-        entry = self._entry(digest)
-        try:
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            tmp = entry.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_bytes(pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL))
-            tmp.replace(entry)
-        except OSError:
-            pass  # a read-only cache directory degrades to parse-always
-
 
 @dataclass
 class ProjectStats:
-    """Where the trees and summaries in one Project build came from."""
+    """Counts for one Project build."""
 
     files: int = 0
-    parsed: int = 0
-    cache_hits: int = 0
-    summaries_computed: int = 0
-    summaries_reused: int = 0
 
 
 @dataclass
@@ -116,14 +40,7 @@ class _ModuleInfo:
     """Lazily computed per-module lookup tables."""
 
     ctx: ModuleContext
-    _imports: ImportMap | None = None
     _defs: dict[str, ast.stmt] | None = None
-
-    @property
-    def imports(self) -> ImportMap:
-        if self._imports is None:
-            self._imports = ImportMap.from_tree(self.ctx.tree)
-        return self._imports
 
     @property
     def defs(self) -> dict[str, ast.stmt]:
@@ -169,28 +86,16 @@ class Project:
         #: Parse failures, reported as ``parse-error`` findings.
         self.errors: list[Finding] = []
         self.stats = ProjectStats()
-        #: Content digest per loaded path (also keys summary entries).
-        self.digest_by_path: dict[str, str] = {}
-        #: Paths whose tree was *not* served by the AST cache this
-        #: build — i.e. new or edited since the last cached run.
-        self.changed_paths: set[str] = set()
-        #: The cache the project was built with (summaries share it).
-        self.ast_cache: AstCache | None = None
         self._dataflow = None
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_paths(
-        cls,
-        paths: Sequence[str | Path],
-        cache: AstCache | None = None,
-    ) -> "Project":
+    def from_paths(cls, paths: Sequence[str | Path]) -> "Project":
         """Build from files and directory trees (may raise FileNotFoundError)."""
         project = cls()
-        project.ast_cache = cache
         for path in iter_python_files(paths):
-            project._load_file(path, cache)
+            project._load_file(path)
         return project
 
     @classmethod
@@ -211,38 +116,12 @@ class Project:
         project._add_source(source, path, module, derive)
         return project
 
-    def _load_file(self, path: Path, cache: AstCache | None) -> None:
+    def _load_file(self, path: Path) -> None:
         try:
-            data = path.read_bytes()
-            source = data.decode("utf-8")
+            source = path.read_bytes().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise FileNotFoundError(f"cannot read {path}: {exc}") from exc
-        digest = file_digest(data)
-        self.digest_by_path[str(path)] = digest
-        tree = cache.get(digest) if cache is not None else None
-        if tree is not None:
-            self.stats.cache_hits += 1
-        else:
-            self.changed_paths.add(str(path))
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError as exc:
-                self.stats.files += 1
-                self.errors.append(
-                    Finding(
-                        path=str(path),
-                        line=exc.lineno or 1,
-                        col=(exc.offset or 0) or 1,
-                        rule="parse-error",
-                        message=f"cannot parse: {exc.msg}",
-                    )
-                )
-                return
-            self.stats.parsed += 1
-            if cache is not None:
-                cache.put(digest, tree)
-        module = _directive_module(source) or module_name_for_path(path)
-        self._add(ModuleContext(str(path), module, tree, source))
+        self._add_source(source, str(path), None, derive=True)
 
     def _add_source(
         self, source: str, path: str, module: str | None, derive: bool
@@ -280,11 +159,8 @@ class Project:
         return [info.ctx for info in self._infos]
 
     def dataflow(self):
-        """The interprocedural view (memoized per build).
-
-        Summaries come from the per-file cache when the project was
-        built with one; see :mod:`repro.check.dataflow`.
-        """
+        """The interprocedural view (memoized per build); see
+        :mod:`repro.check.dataflow`."""
         if self._dataflow is None:
             from repro.check.dataflow import Dataflow
 
@@ -298,9 +174,6 @@ class Project:
     def source_for_path(self, path: str) -> str | None:
         info = self._by_path.get(path)
         return info.ctx.source if info else None
-
-    def imports_of(self, ctx: ModuleContext) -> ImportMap:
-        return self._by_path[ctx.path].imports
 
     def defs_of(self, ctx: ModuleContext) -> dict[str, ast.stmt]:
         return self._by_path[ctx.path].defs
@@ -332,7 +205,7 @@ class Project:
                 return Resolved(info.ctx, node, trailing)
             # Re-export: ``from repro.mplib.tcp_base import Route`` in a
             # package __init__ forwards the lookup to the source module.
-            target = info.imports.names.get(name)
+            target = info.ctx.imports.names.get(name)
             if target is not None and target != dotted:
                 return self.resolve(
                     ".".join([target, *trailing]), _depth=_depth + 1
@@ -350,7 +223,7 @@ class Project:
         node = info.defs.get(name)
         if node is not None:
             return Resolved(ctx, node, ())
-        target = info.imports.names.get(name)
+        target = info.ctx.imports.names.get(name)
         if target is not None:
             return self.resolve(target)
         return None
@@ -362,7 +235,7 @@ class Project:
         if isinstance(base, ast.Name):
             resolved = self.resolve_local(ctx, base.id)
         else:
-            dotted = self.imports_of(ctx).resolve(base)
+            dotted = ctx.imports.resolve(base)
             resolved = self.resolve(dotted) if dotted else None
         if resolved and isinstance(resolved.node, ast.ClassDef):
             return resolved

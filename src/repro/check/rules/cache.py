@@ -21,7 +21,12 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.analyzer import Finding, ImportMap, ModuleContext
+from repro.check.analyzer import (
+    Finding,
+    ImportMap,
+    ModuleContext,
+    iter_statements,
+)
 
 FAMILY = "cache-safety"
 
@@ -60,9 +65,9 @@ def _annotation_base(node: ast.expr) -> ast.expr:
 
 def check(ctx: ModuleContext) -> list[Finding]:
     """Flag dataclass members the fingerprint walk cannot reach."""
-    imports = ImportMap.from_tree(ctx.tree)
+    imports = ctx.imports
     findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
+    for node in iter_statements(ctx.tree):
         if not isinstance(node, ast.ClassDef):
             continue
         if not _is_dataclass_decorated(node, imports):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.analyzer import Finding, ImportMap, ModuleContext
+from repro.check.analyzer import Finding, ModuleContext
 
 FAMILY = "determinism"
 
@@ -67,9 +67,9 @@ def _match(dotted: str) -> tuple[str, str, str] | None:
 
 
 class _UseVisitor(ast.NodeVisitor):
-    def __init__(self, ctx: ModuleContext, imports: ImportMap):
+    def __init__(self, ctx: ModuleContext):
         self.ctx = ctx
-        self.imports = imports
+        self.imports = ctx.imports
         self.findings: list[Finding] = []
 
     def _flag(self, node: ast.AST) -> bool:
@@ -102,6 +102,6 @@ class _UseVisitor(ast.NodeVisitor):
 
 def check(ctx: ModuleContext) -> list[Finding]:
     """Flag wall-clock/entropy/environment reads in ``ctx``'s module."""
-    visitor = _UseVisitor(ctx, ImportMap.from_tree(ctx.tree))
+    visitor = _UseVisitor(ctx)
     visitor.visit(ctx.tree)
     return visitor.findings

@@ -167,7 +167,7 @@ class _Tables:
 
     def _build_fields(self) -> None:
         for ctx, node in self.project.iter_classes():
-            if not _is_dataclass(node, ctx, self.project):
+            if not _is_dataclass(node, ctx):
                 continue
             for stmt in node.body:
                 if not (
@@ -216,19 +216,19 @@ class _Tables:
         if isinstance(func, ast.Name):
             resolved = self.project.resolve_local(ctx, func.id)
         else:
-            dotted = self.project.imports_of(ctx).resolve(func)
+            dotted = ctx.imports.resolve(func)
             resolved = self.project.resolve(dotted) if dotted else None
         return (
             resolved is not None
             and isinstance(resolved.node, ast.ClassDef)
-            and _is_dataclass(resolved.node, resolved.ctx, self.project)
+            and _is_dataclass(resolved.node, resolved.ctx)
         )
 
 
-def _is_dataclass(node: ast.ClassDef, ctx: ModuleContext, project) -> bool:
+def _is_dataclass(node: ast.ClassDef, ctx: ModuleContext) -> bool:
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
-        dotted = project.imports_of(ctx).resolve(target)
+        dotted = ctx.imports.resolve(target)
         if dotted in ("dataclasses.dataclass", "dataclass"):
             return True
         if isinstance(target, ast.Name) and target.id == "dataclass":
@@ -285,7 +285,7 @@ class _Inference:
 
     def _call_dim(self, node: ast.Call):
         func = node.func
-        dotted = self.tables.project.imports_of(self.ctx).resolve(func)
+        dotted = self.ctx.imports.resolve(func)
         if dotted is not None:
             table = _converter_table()
             if dotted in table:

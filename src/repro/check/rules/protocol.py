@@ -10,13 +10,16 @@ engine timeout papers over it).  These rules walk the ``yield from``
 call graph of every endpoint class in the project:
 
 * ``proto-unmatched`` — a tag one side blocks on is never sent by the
-  other side (e.g. the rendezvous CTS reply leg was deleted);
-* ``proto-deadlock`` — both sides can block on a channel receive
-  before either has sent anything, so paired ranks deadlock;
+  other side (e.g. the rendezvous CTS reply leg was deleted), or a tag
+  one side sends is never received by the other;
 * ``proto-dead-branch`` — an ``if`` on protocol-spec attributes that
   no spec in the registry universe (tuned *and* variant
   configurations, :func:`repro.mplib.registry.iter_spec_universe`)
   can ever take: unreachable protocol code.
+
+Two legs that both open with a blocking receive are reported by the
+``verify`` family (``verify-deadlock``), which explores the legs'
+product exactly.
 
 An *endpoint class* is any class whose ``send`` and ``recv`` methods
 are both generators — resolved across modules via the project graph,
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import ast
 import enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.check.analyzer import Finding, ImportMap, ModuleContext
 
@@ -36,10 +39,8 @@ FAMILY = "protocol-flow"
 
 RULES = {
     "proto-unmatched": (
-        "endpoint blocks on a handshake tag its peer method never sends"
-    ),
-    "proto-deadlock": (
-        "send() and recv() can both block on a receive before sending"
+        "endpoint blocks on a handshake tag its peer method never sends, "
+        "or sends a tag its peer never receives"
     ),
     "proto-dead-branch": (
         "spec-dependent branch unreachable under every registry spec"
@@ -53,14 +54,17 @@ _DEFAULT_TAG = "data"
 _MISSING = object()  # spec lacks the attribute: spec not applicable
 
 
-def _is_generator(fn: ast.FunctionDef) -> bool:
-    """Does ``fn`` contain a yield (ignoring nested defs/lambdas)?"""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(fn))
+def is_generator(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Does ``fn``'s body yield, not counting nested scopes?"""
+    stack: list[ast.AST] = list(fn.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if isinstance(
+            node,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
+        ):
             continue
         stack.extend(ast.iter_child_nodes(node))
     return False
@@ -111,7 +115,7 @@ def _is_endpoint(cls: _EndpointClass) -> bool:
     """Is ``cls`` an endpoint: are both send and recv generators?"""
     for name in ("send", "recv"):
         entry = cls.method(name)
-        if entry is None or not _is_generator(entry[1]):
+        if entry is None or not is_generator(entry[1]):
             return False
     return True
 
@@ -183,85 +187,9 @@ def _collect_ops(
         helper = _self_method_call(node)
         if helper and helper not in visited:
             entry = cls.method(helper)
-            if entry is not None and _is_generator(entry[1]):
+            if entry is not None and is_generator(entry[1]):
                 visited.add(helper)
                 _collect_ops(cls, entry[0], entry[1], out, visited)
-
-
-# -- first-op analysis (deadlock) ----------------------------------------------
-
-def _first_ops(
-    cls: _EndpointClass,
-    ctx: ModuleContext,
-    stmts: Iterable[ast.stmt],
-    visited: frozenset[str],
-) -> tuple[set[tuple[str, int, int]], dict[tuple[str, int, int], _Op], bool]:
-    """Possible *first* channel ops along any path through ``stmts``.
-
-    Returns (op keys, key -> op, falls_through) where falls_through
-    means some path runs off the end without performing a channel op.
-    Branches are all considered takeable; loop bodies may run zero
-    times; engine timeouts are not channel ops.
-    """
-    firsts: set[tuple[str, int, int]] = set()
-    index: dict[tuple[str, int, int], _Op] = {}
-
-    def record(op: _Op) -> None:
-        key = (op.direction, op.node.lineno, op.node.col_offset)
-        firsts.add(key)
-        index[key] = op
-
-    def expr_first(node: ast.AST, visited: frozenset[str]) -> bool:
-        """Scan one expression; True when it may complete without an op."""
-        for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
-            op = _classify_call(call)
-            if op is not None:
-                record(_Op(op[0], op[1], ctx, call))
-                return False
-            helper = _self_method_call(call)
-            if helper and helper not in visited:
-                entry = cls.method(helper)
-                if entry is not None and _is_generator(entry[1]):
-                    f, idx, through = _first_ops(
-                        cls, entry[0], entry[1].body, visited | {helper}
-                    )
-                    firsts.update(f)
-                    index.update(idx)
-                    if not through:
-                        return False
-        return True
-
-    def walk(stmts: Iterable[ast.stmt], visited: frozenset[str]) -> bool:
-        for stmt in stmts:
-            if isinstance(stmt, ast.If):
-                body_through = walk(stmt.body, visited)
-                else_through = walk(stmt.orelse, visited)
-                if not (body_through or else_through):
-                    return False
-                continue
-            if isinstance(stmt, (ast.For, ast.While)):
-                walk(stmt.body, visited)  # zero iterations always possible
-                walk(stmt.orelse, visited)
-                continue
-            if isinstance(stmt, ast.Try):
-                walk(stmt.body, visited)
-                for handler in stmt.handlers:
-                    walk(handler.body, visited)
-                walk(stmt.finalbody, visited)
-                continue
-            if isinstance(stmt, ast.With):
-                if not walk(stmt.body, visited):
-                    return False
-                continue
-            if isinstance(stmt, (ast.Return, ast.Raise)):
-                expr_first(stmt, visited)
-                return False
-            if not expr_first(stmt, visited):
-                return False
-        return True
-
-    through = walk(list(stmts), visited)
-    return firsts, index, through
 
 
 # -- dead-branch evaluation ----------------------------------------------------
@@ -438,7 +366,7 @@ def _dead_branches(
         return
     seen: set[int] = set()
     for ctx, fn in cls.methods.values():
-        imports = project.imports_of(ctx)
+        imports = ctx.imports
         for node in ast.walk(fn):
             if not isinstance(node, ast.If) or id(node) in seen:
                 continue
@@ -477,7 +405,6 @@ def check_project(project) -> list[Finding]:
             ops[name] = collected
 
         findings.update(_unmatched(cls, ops))
-        findings.update(_deadlock(cls, ops))
         for ctx, node in _dead_branches(project, cls):
             findings.add(
                 ctx.finding(
@@ -522,30 +449,6 @@ def _unmatched(cls: _EndpointClass, ops: dict[str, list[_Op]]) -> Iterator[Findi
                 )
 
 
-def _deadlock(cls: _EndpointClass, ops: dict[str, list[_Op]]) -> Iterator[Finding]:
-    send_ctx, send_fn = cls.method("send")
-    recv_ctx, recv_fn = cls.method("recv")
-    send_first, send_index, _ = _first_ops(
-        cls, send_ctx, send_fn.body, frozenset({"send"})
-    )
-    recv_first, _, _ = _first_ops(
-        cls, recv_ctx, recv_fn.body, frozenset({"recv"})
-    )
-    send_blocks = [key for key in send_first if key[0] == "recv"]
-    recv_blocks = any(key[0] == "recv" for key in recv_first)
-    if not (send_blocks and recv_blocks):
-        return
-    for key in sorted(send_blocks, key=lambda k: (k[1], k[2])):
-        op = send_index[key]
-        yield op.ctx.finding(
-            op.node,
-            "proto-deadlock",
-            f"{cls.node.name}.send() can block on a receive before "
-            "sending anything while recv() also blocks on a receive — "
-            "paired ranks deadlock",
-        )
-
-
 # -- shared surface ------------------------------------------------------------
 
 # Public aliases consumed by :mod:`repro.verify`: the bounded model
@@ -558,7 +461,6 @@ UNKNOWN = _UNKNOWN
 EndpointClass = _EndpointClass
 collect_classes = _collect_classes
 is_endpoint = _is_endpoint
-is_generator = _is_generator
 classify_channel_call = _classify_call
 self_method_call = _self_method_call
 eval_test = _eval_test

@@ -25,7 +25,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.check.analyzer import Finding, ModuleContext
+from repro.check.analyzer import STATEMENT_LISTS, Finding, ModuleContext
+from repro.check.rules.protocol import is_generator
 
 FAMILY = "yield-discipline"
 
@@ -39,94 +40,81 @@ RULES = {
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _contains_yield(body: list[ast.stmt]) -> bool:
-    """Yield/YieldFrom in this body, not counting nested scopes."""
-    stack: list[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(node, (*_FUNC_NODES, ast.Lambda, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return False
-
-
 def _scope_statements(body: list[ast.stmt]) -> Iterator[ast.AST]:
-    """Nodes of one scope: descends into compound statements (``if``,
-    ``for``, ``with``, ``try``) but not into nested defs or classes."""
+    """Statements of one scope: descends into compound statements
+    (``if``, ``for``, ``with``, ``try``, ``match``) but not into nested
+    defs or classes, nor into expressions, which hold no statements."""
     stack: list[ast.AST] = list(body)
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (*_FUNC_NODES, ast.ClassDef, ast.Lambda)):
+        if isinstance(node, (*_FUNC_NODES, ast.ClassDef)):
             continue
-        stack.extend(ast.iter_child_nodes(node))
+        for field in STATEMENT_LISTS:
+            stack.extend(getattr(node, field, ()))
 
 
 class _Checker:
+    """Scopes map a name to its defs; generator-ness is only computed
+    for names that a discarded call actually uses."""
+
     def __init__(self, ctx: ModuleContext):
         self.ctx = ctx
         self.findings: list[Finding] = []
 
     def run(self) -> list[Finding]:
-        self._check_scope(self.ctx.tree.body, scopes=[], class_gens=None)
+        self._check_scope(self.ctx.tree.body, scopes=[], methods=None)
         return self.findings
 
     def _check_scope(
         self,
         body: list[ast.stmt],
-        scopes: list[dict[str, bool]],
-        class_gens: set[str] | None,
+        scopes: list[dict[str, ast.AST]],
+        methods: dict[str, list[ast.AST]] | None,
     ) -> None:
         nodes = list(_scope_statements(body))
-        table = {
-            n.name: _contains_yield(n.body)
-            for n in nodes
-            if isinstance(n, _FUNC_NODES)
-        }
+        table = {n.name: n for n in nodes if isinstance(n, _FUNC_NODES)}
         scopes = scopes + [table]
         for node in nodes:
             if isinstance(node, _FUNC_NODES):
-                self._check_scope(node.body, scopes, class_gens)
+                self._check_scope(node.body, scopes, methods)
             elif isinstance(node, ast.ClassDef):
                 self._check_class(node, scopes)
             elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-                self._check_call(node.value, scopes, class_gens)
+                self._check_call(node.value, scopes, methods)
 
     def _check_class(
-        self, node: ast.ClassDef, scopes: list[dict[str, bool]]
+        self, node: ast.ClassDef, scopes: list[dict[str, ast.AST]]
     ) -> None:
-        gens = {
-            stmt.name
-            for stmt in node.body
-            if isinstance(stmt, _FUNC_NODES) and _contains_yield(stmt.body)
-        }
+        methods: dict[str, list[ast.AST]] = {}
         for stmt in node.body:
             if isinstance(stmt, _FUNC_NODES):
-                self._check_scope(stmt.body, scopes, class_gens=gens)
+                methods.setdefault(stmt.name, []).append(stmt)
+        for stmt in node.body:
+            if isinstance(stmt, _FUNC_NODES):
+                self._check_scope(stmt.body, scopes, methods)
             elif isinstance(stmt, ast.ClassDef):
                 self._check_class(stmt, scopes)
 
     def _check_call(
         self,
         call: ast.Call,
-        scopes: list[dict[str, bool]],
-        class_gens: set[str] | None,
+        scopes: list[dict[str, ast.AST]],
+        methods: dict[str, list[ast.AST]] | None,
     ) -> None:
         func = call.func
         name: str | None = None
         if isinstance(func, ast.Name):
             for table in reversed(scopes):
                 if func.id in table:
-                    name = func.id if table[func.id] else None
+                    name = func.id if is_generator(table[func.id]) else None
                     break
         elif (
             isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
             and func.value.id in ("self", "cls")
-            and class_gens
-            and func.attr in class_gens
+            and methods
+            and any(is_generator(m) for m in methods.get(func.attr, ()))
         ):
             name = f"{func.value.id}.{func.attr}"
         if name is not None:

@@ -3,7 +3,7 @@
 Verifying the full REGISTRY+VARIANTS universe re-explores identical
 models on every run; a warm `repro verify` should be near-instant
 (CI enforces <2s in ``benchmarks/test_bench_verify.py``).  The cache
-follows the AST-cache discipline of :mod:`repro.check.project`:
+keeps three rules:
 
 * a *generation* directory named by a salt folding the Python version
   and a content digest over every package whose source determines the

@@ -90,7 +90,7 @@ class _Compiler:
     def _evaluator(self, ctx) -> GuardEvaluator:
         ev = self._evaluators.get(ctx.path)
         if ev is None:
-            ev = GuardEvaluator(self.cls, self.project.imports_of(ctx))
+            ev = GuardEvaluator(self.cls, ctx.imports)
             self._evaluators[ctx.path] = ev
         return ev
 

@@ -92,14 +92,12 @@ def mplib_source_dir() -> Path:
     return Path(repro.mplib.__file__).resolve().parent
 
 
-def build_models(paths: Sequence[str | Path] | None = None,
-                 ast_cache=None) -> dict[str, EndpointModel]:
+def build_models(paths: Sequence[str | Path] | None = None
+                 ) -> dict[str, EndpointModel]:
     """Compile every endpoint model under ``paths`` (default: mplib)."""
     from repro.check.project import Project
 
-    project = Project.from_paths(
-        [mplib_source_dir()] if paths is None else paths, cache=ast_cache
-    )
+    project = Project.from_paths([mplib_source_dir()] if paths is None else paths)
     return {m.name: m for m in iter_endpoint_models(project)}
 
 

@@ -139,79 +139,13 @@ def test_sarif_clean_run_has_no_results(capsys):
     assert payload["runs"][0]["results"] == []
 
 
-# -- AST cache flags ----------------------------------------------------------
+# -- no cache options ---------------------------------------------------------
 
-def test_cache_flag_and_stats(capsys, tmp_path):
-    cache_dir = tmp_path / "ast-cache"
-    target = str(SRC / "repro" / "check")
-    assert check_main([target, "--cache", str(cache_dir), "--stats"]) == 0
-    cold = capsys.readouterr().err
-    assert "0 from AST cache" in cold
-
-    assert check_main([target, "--cache", str(cache_dir), "--stats"]) == 0
-    warm = capsys.readouterr().err
-    # Warm run: every file served from cache, zero parsed.
-    assert "0 parsed" in warm
-    assert "0 from AST cache" not in warm
-
-
-def test_stats_reports_summary_reuse_counts(capsys, tmp_path):
-    cache_dir = tmp_path / "ast-cache"
-    target = str(SRC / "repro" / "check")
-    assert check_main([target, "--cache", str(cache_dir), "--stats"]) == 0
-    cold = capsys.readouterr().err
-    assert "0 reused" in cold and "summaries computed" in cold
-
-    assert check_main([target, "--cache", str(cache_dir), "--stats"]) == 0
-    warm = capsys.readouterr().err
-    assert "0 summaries computed" in warm
-
-
-# -- incremental analysis (--changed) -----------------------------------------
-
-def test_changed_requires_cache(capsys):
-    assert check_main([str(SRC), "--changed"]) == 2
-    assert "--changed requires --cache" in capsys.readouterr().err
-
-
-def test_changed_analyzes_only_edited_files(capsys, tmp_path):
-    # A private copy of two fixtures, so edits don't touch the corpus.
-    tree = tmp_path / "tree"
-    tree.mkdir()
-    clean = tree / "clean.py"
-    clean.write_text((FIXTURES / "dim_good.py").read_text())
-    bad = tree / "bad.py"
-    bad.write_text((FIXTURES / "det_bad.py").read_text())
-    cache_dir = str(tmp_path / "ast-cache")
-
-    # Cold: everything is "changed", findings reported as usual.
-    assert check_main(
-        [str(tree), "--cache", cache_dir, "--changed", "--stats"]
-    ) == 1
-    captured = capsys.readouterr()
-    assert "2 changed" in captured.err
-    assert "det-wallclock" in captured.out
-
-    # Warm, nothing edited: zero changed files, zero findings — the
-    # known-bad file is skipped because it did not change.
-    assert check_main(
-        [str(tree), "--cache", cache_dir, "--changed", "--stats"]
-    ) == 0
-    captured = capsys.readouterr()
-    assert "0 changed" in captured.err
-    assert "0 findings" in captured.out
-
-    # Edit only the clean file: exactly one file re-analyzed, and the
-    # unchanged bad file's findings still do not resurface.
-    clean.write_text(clean.read_text() + "\n# touched\n")
-    assert check_main(
-        [str(tree), "--cache", cache_dir, "--changed", "--stats"]
-    ) == 0
-    captured = capsys.readouterr()
-    assert "1 changed" in captured.err
-    assert "1 parsed" in captured.err
-
-    # A full (non---changed) run over the same cache still sees the
-    # bad file: --changed filters reports, it never hides state.
-    assert check_main([str(tree), "--cache", cache_dir]) == 1
-    assert "det-wallclock" in capsys.readouterr().out
+def test_removed_cache_flags_are_usage_errors(capsys):
+    # The analyzer keeps no state between runs; the old flags must fail
+    # loudly rather than be silently ignored.
+    for flag in ("--cache=.astcache", "--changed", "--stats"):
+        with pytest.raises(SystemExit) as exc:
+            check_main([str(FIXTURES / "dim_good.py"), flag])
+        assert exc.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err

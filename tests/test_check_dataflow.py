@@ -3,22 +3,15 @@
 The rule-family tests prove the async-*/fp-* verdicts; these prove the
 machinery under them: call-graph resolution across packages, the
 per-function summaries, the path-sensitive race walk's exemptions, and
-the content-digest summary cache (a single-file edit re-summarizes
-exactly that file).
+one summary list per module per run.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.check import Project
-from repro.check.dataflow import (
-    Dataflow,
-    FunctionSummary,
-    SummaryCache,
-    summarize_module,
-)
-from repro.check.project import AstCache
+from repro.check import Project, dataflow
+from repro.check.dataflow import Dataflow
 from repro.check.rules.asyncsafety import is_blocking_primitive
 
 pytestmark = pytest.mark.check
@@ -190,50 +183,21 @@ def test_cache_put_slices_track_key_value_and_control_roots():
     assert put.control_roots == ("mode",)
 
 
-# -- summary cache ------------------------------------------------------------
+# -- one summary list per module ---------------------------------------------
 
-def test_single_file_edit_resummarizes_only_that_module(tmp_path):
-    src = _write_tree(tmp_path / "t")
-    cache = AstCache(tmp_path / "cache")
+def test_every_module_is_summarized_once(tmp_path, monkeypatch):
+    summarized = []
+    real = dataflow.summarize_module
 
-    p1 = Project.from_paths([src], cache=cache)
-    p1.dataflow()
-    assert p1.stats.summaries_computed == p1.stats.files
-    assert p1.stats.summaries_reused == 0
+    def counting(ctx):
+        summarized.append(ctx.path)
+        return real(ctx)
 
-    p2 = Project.from_paths([src], cache=cache)
-    p2.dataflow()
-    assert p2.stats.summaries_computed == 0
-    assert p2.stats.summaries_reused == p2.stats.files
-    assert p2.changed_paths == set()
-
-    edited = src / "repro" / "alpha.py"
-    edited.write_text(edited.read_text() + "\n# touched\n")
-    p3 = Project.from_paths([src], cache=cache)
-    p3.dataflow()
-    assert p3.changed_paths == {str(edited)}
-    assert p3.stats.summaries_computed == 1
-    assert p3.stats.summaries_reused == p3.stats.files - 1
-
-
-def test_summary_cache_round_trips_and_rejects_corrupt(tmp_path):
-    project = Project.from_source(
-        "async def go(q):\n    await q.get()\n",
-        module="repro.serve.fixture_flow",
-        derive=False,
-    )
-    ctx = project.modules[0]
-    summaries = summarize_module(ctx, project.imports_of(ctx))
-    cache = SummaryCache(tmp_path)
-    cache.put("ab" * 32, summaries)
-    loaded = cache.get("ab" * 32)
-    assert loaded == summaries
-    assert all(isinstance(s, FunctionSummary) for s in loaded)
-    # Corruption is a miss, never an error.
-    entry = cache._entry("ab" * 32)
-    entry.write_text("{not json")
-    assert cache.get("ab" * 32) is None
-    assert cache.get("cd" * 32) is None
+    monkeypatch.setattr(dataflow, "summarize_module", counting)
+    project = Project.from_paths([_write_tree(tmp_path)])
+    project.dataflow()
+    project.dataflow()
+    assert sorted(summarized) == sorted(m.path for m in project.modules)
 
 
 def test_dataflow_is_memoized_per_project():

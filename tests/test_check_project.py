@@ -1,13 +1,18 @@
-"""The project graph and its content-addressed AST cache."""
+"""The project graph: modules, cross-module resolution, one parse each."""
 
 import ast
-import pickle
+import collections
 from pathlib import Path
 
 import pytest
 
-from repro.check.analyzer import analyze_project, analyze_paths
-from repro.check.project import AstCache, Project, ast_cache_salt, file_digest
+from repro.check.analyzer import (
+    ImportMap,
+    analyze_paths,
+    analyze_project,
+    iter_python_files,
+)
+from repro.check.project import Project
 
 pytestmark = pytest.mark.check
 
@@ -73,76 +78,95 @@ def test_parse_error_becomes_finding(tmp_path):
     assert [f.rule for f in findings] == ["parse-error"]
 
 
-# -- AST cache ----------------------------------------------------------------
+# -- one parse and one import map per file ------------------------------------
 
-def test_cold_then_warm_cache_parses_zero_files(tmp_path):
-    cache = AstCache(tmp_path / "ast")
-    cold = Project.from_paths([SRC / "repro" / "check"], cache=cache)
-    assert cold.stats.parsed == cold.stats.files > 0
-    assert cold.stats.cache_hits == 0
+def test_each_file_is_parsed_once(monkeypatch):
+    parses = collections.Counter()
+    real_parse = ast.parse
 
-    warm = Project.from_paths([SRC / "repro" / "check"], cache=cache)
-    assert warm.stats.parsed == 0
-    assert warm.stats.cache_hits == warm.stats.files == cold.stats.files
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parses[str(filename)] += 1
+        return real_parse(source, filename, *args, **kwargs)
 
-
-def test_cached_and_fresh_analyses_agree(tmp_path):
-    cache = AstCache(tmp_path / "ast")
-    target = [SRC / "repro" / "mplib"]
-    fresh = analyze_paths(target)
-    analyze_paths(target, cache=cache)  # populate
-    warm = analyze_paths(target, cache=cache)
-    assert warm == fresh
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    project = Project.from_paths([SRC / "repro" / "check"])
+    assert analyze_project(project) == []
+    paths = {ctx.path for ctx in project.modules}
+    assert project.stats.files == len(paths) > 0
+    assert {path: parses[path] for path in paths} == dict.fromkeys(paths, 1)
 
 
-def test_changed_content_misses_the_cache(tmp_path):
-    source_a = "x = 1\n"
-    source_b = "x = 2\n"
-    f = tmp_path / "m.py"
-    cache = AstCache(tmp_path / "ast")
+def test_import_map_is_built_once_per_module(monkeypatch):
+    built = collections.Counter()
+    real_from_tree = ImportMap.from_tree.__func__
 
-    f.write_text(source_a)
-    first = Project.from_paths([f], cache=cache)
-    assert first.stats.parsed == 1
+    def counting_from_tree(cls, tree):
+        built[id(tree)] += 1
+        return real_from_tree(cls, tree)
 
-    f.write_text(source_b)
-    second = Project.from_paths([f], cache=cache)
-    assert second.stats.parsed == 1  # digest changed -> miss
-    assert second.stats.cache_hits == 0
-
-
-def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
-    f = tmp_path / "m.py"
-    f.write_text("value = 40 + 2\n")
-    cache = AstCache(tmp_path / "ast")
-    Project.from_paths([f], cache=cache)
-
-    digest = file_digest(f.read_bytes())
-    entry = cache._entry(digest)
-    assert entry.exists()
-    entry.write_bytes(b"not a pickle")
-    reread = Project.from_paths([f], cache=cache)
-    assert reread.stats.parsed == 1
-    assert reread.stats.cache_hits == 0
-
-    # A pickle of the wrong type is equally a miss.
-    entry.write_bytes(pickle.dumps({"not": "an ast"}))
-    again = Project.from_paths([f], cache=cache)
-    assert again.stats.parsed == 1
+    monkeypatch.setattr(ImportMap, "from_tree", classmethod(counting_from_tree))
+    assert analyze_paths([SRC]) == []
+    modules = len(list(iter_python_files([SRC])))
+    assert sum(built.values()) == modules
+    assert set(built.values()) == {1}
 
 
-def test_cache_salt_names_python_version():
-    salt = ast_cache_salt()
-    import sys
+def _full_walk_imports(tree):
+    """Reference import map: every Import/ImportFrom via ast.walk."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".", 1)[0]
+                    names[root] = root
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return names
 
-    assert f"py{sys.version_info[0]}.{sys.version_info[1]}" in salt
+
+NESTED_IMPORTS = """\
+import os
+try:
+    import numpy as np
+except ImportError:
+    import array as np
+else:
+    from json import dumps
+finally:
+    import gc
+while False:
+    pass
+else:
+    import io as os
+match os:
+    case _:
+        from time import time
+with open(os.devnull) as fh:
+    from sys import argv
+class Holder:
+    import math
+    def method(self):
+        import time as clock
+        lam = lambda: 1
+"""
 
 
-def test_readonly_cache_dir_degrades_to_parsing(tmp_path):
-    f = tmp_path / "m.py"
-    f.write_text("x = 1\n")
-    blocked = tmp_path / "file-not-dir"
-    blocked.write_text("")
-    cache = AstCache(blocked / "nested")  # parent is a file: mkdir fails
-    project = Project.from_paths([f], cache=cache)
-    assert project.stats.parsed == 1  # no crash, no hit
+def test_import_map_finds_imports_in_every_statement_list():
+    tree = ast.parse(NESTED_IMPORTS)
+    names = ImportMap.from_tree(tree).names
+    assert names == _full_walk_imports(tree)
+    assert names["os"] == "io" and names["np"] == "array"
+    assert {"dumps", "gc", "time", "argv", "math", "clock"} <= names.keys()
+
+
+def test_import_map_matches_a_full_walk_on_the_repo():
+    for path in iter_python_files([SRC, Path(__file__).resolve().parent]):
+        try:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+        except SyntaxError:
+            continue
+        assert ImportMap.from_tree(tree).names == _full_walk_imports(tree), path

@@ -6,6 +6,7 @@ declare their pretend package with a ``# repro: module=...`` directive,
 which is how policy scoping is exercised from outside src/.
 """
 
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -188,11 +189,42 @@ def test_proto_unmatched_fires_on_deleted_cts_leg():
     assert "verify-deadlock" in {rule for rule, _ in found}
 
 
+def test_proto_unmatched_fires_on_orphan_send():
+    # send() emits a tag recv() never receives.  Nothing blocks, so the
+    # verify-* family has nothing to report: this send branch is why
+    # proto-unmatched stays alongside verify.
+    source = textwrap.dedent('''\
+        # repro: module=repro.mplib.fixture_proto_orphan_send
+        class OrphanSendEndpoint:
+            def __init__(self, endpoint):
+                self.ep = endpoint
+
+            def send(self, nbytes):
+                yield from self.ep.send(0, tag="hello")  # orphan send
+                yield from self.ep.send(nbytes, tag="data")
+
+            def recv(self, nbytes):
+                msg = yield from self.ep.recv(tag="data")
+                return msg
+    ''')
+    send_line = next(
+        i for i, line in enumerate(source.splitlines(), start=1)
+        if "# orphan send" in line
+    )
+    found = [
+        (f.rule, f.line)
+        for f in analyze_source(source, path="proto_orphan_send.py")
+    ]
+    assert found == [("proto-unmatched", send_line)]
+
+
 def test_proto_deadlock_fires_on_symmetric_blocking_recv():
+    # Symmetric recv-first is verify-deadlock's verdict; protocol-flow
+    # has no rule of its own for it.
     name = "proto_deadlock_bad.py"
     found = rules_with_lines(name)
-    assert [f for f in found if f[0].startswith("proto-")] == [
-        ("proto-deadlock", fixture_line(name, "# proto-deadlock: recv-first")),
+    assert found == [
+        ("verify-deadlock", fixture_line(name, "# verify-deadlock: recv-first")),
     ]
 
 
